@@ -17,7 +17,6 @@ uses a random restart policy, RR wraps the per-step reward.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Protocol
@@ -38,6 +37,7 @@ from repro.rl.transition import Trajectory, Transition
 TaskSampler = Callable[[ReplayRegistry, np.random.Generator], int]
 InitialStateProvider = Callable[[int], EnvState]
 RewardTransform = Callable[[int, float], float]
+ActionChooser = Callable[[np.ndarray], int]
 
 
 class EpisodeCollector(Protocol):
@@ -152,56 +152,23 @@ class FEATTrainer:
         self,
         task_id: int,
         start: EnvState | None = None,
-        greedy: bool = False,
         random_policy: bool = False,
     ) -> Trajectory:
-        """Roll one episode on ``task_id`` from ``start`` (default: reset).
+        """Roll one training episode on ``task_id`` from ``start``.
 
-        ``greedy`` disables exploration (used at inference); ``random_policy``
-        picks uniform actions (used by the Go-Explore baseline and the
-        w/o-PE ablation when restarting from customised states).
+        The agent acts epsilon-greedily; ``random_policy`` picks uniform
+        actions from the trainer's stream instead (used by the Go-Explore
+        baseline and the w/o-PE ablation when restarting from customised
+        states).
         """
-        # Annotated so static call resolution binds env.step/reset to
-        # FeatureSelectionEnv (the effect analysis can't see through the
-        # Mapping element type).
-        env: FeatureSelectionEnv = self.envs[task_id]
-        state = env.reset() if start is None else env.reset_to(start)
-        trajectory = Trajectory(task_id=task_id)
-        final_score = env.reward_fn(env.selected) if env.selected else 0.0
-        steps: list[tuple[np.ndarray, int, float, np.ndarray, bool]] = []
-        while not env.done:
-            if random_policy:
-                action = int(self._rng.integers(env.N_ACTIONS))
-            else:
-                action = self.agent.act(state, greedy=greedy)
-            next_state, reward, done, info = env.step(action)
-            if self.reward_transform is not None:
-                reward = self.reward_transform(task_id, reward)
-            steps.append((state, action, reward, next_state, done))
-            state = next_state
-            final_score = info["score"]
-        # Compute the discounted return-to-go R̂ for each step (Algorithm 1
-        # lines 16-18 store it in the buffer alongside the transition).
-        gamma = self.config.agent.gamma
-        running_return = 0.0
-        returns: list[float] = [0.0] * len(steps)
-        for index in range(len(steps) - 1, -1, -1):
-            running_return = steps[index][2] + gamma * running_return
-            returns[index] = running_return
-        for (step_state, action, reward, next_state, done), ret in zip(steps, returns):
-            trajectory.append(
-                Transition(
-                    state=step_state,
-                    action=action,
-                    reward=reward,
-                    next_state=next_state,
-                    done=done,
-                    return_to_go=ret,
-                )
-            )
-        trajectory.selected_features = env.selected
-        trajectory.final_reward = float(final_score)
-        return trajectory
+        choose = uniform_actions(self._rng) if random_policy else self.agent.act
+        return rollout_episode(
+            self.envs[task_id],
+            start,
+            choose,
+            self.reward_transform,
+            self.config.agent.gamma,
+        )
 
     def plan_episode(self) -> tuple[int, EnvState, bool]:
         """Sample one episode's ``(task, start, random_policy)`` triple.
@@ -269,16 +236,6 @@ class FEATTrainer:
             self.commit_episode(task_id, trajectory, start)
             collected.setdefault(task_id, []).append(trajectory)
         return collected
-
-    def collect_episodes(self, n_episodes: int) -> dict[int, list[Trajectory]]:
-        """Deprecated alias for :meth:`buffer_filling` (PR 3 rename)."""
-        warnings.warn(
-            "FEATTrainer.collect_episodes is deprecated; use "
-            "buffer_filling instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.buffer_filling(n_episodes)
 
     # ------------------------------------------------------------------
     # Training
@@ -528,3 +485,59 @@ def greedy_subset(agent: DuelingDQNAgent, env: FeatureSelectionEnv) -> tuple[int
         action = agent.act(state, greedy=True)
         state, _, _, _ = env.step(action)
     return env.selected
+
+
+def uniform_actions(rng: np.random.Generator) -> ActionChooser:
+    """An action chooser that ignores the state and draws uniformly."""
+    return lambda state: int(rng.integers(FeatureSelectionEnv.N_ACTIONS))
+
+
+def rollout_episode(
+    env: FeatureSelectionEnv,
+    start: EnvState | None,
+    choose_action: ActionChooser,
+    reward_transform: RewardTransform | None,
+    gamma: float,
+) -> Trajectory:
+    """Roll one training episode on ``env`` from ``start`` (default: reset).
+
+    This is the one episode loop of Algorithm 1 (lines 7-18): the serial
+    trainer and the rollout workers both run it and differ only in
+    ``choose_action`` — which RNG stream and epsilon counter it draws
+    from.  ``reward_transform`` reshapes each step's reward (the RR
+    baseline), and every transition carries its discounted return-to-go.
+    """
+    state = env.reset() if start is None else env.reset_to(start)
+    final_score = env.reward_fn(env.selected) if env.selected else 0.0
+    steps: list[tuple[np.ndarray, int, float, np.ndarray, bool]] = []
+    while not env.done:
+        action = choose_action(state)
+        next_state, reward, done, info = env.step(action)
+        if reward_transform is not None:
+            reward = reward_transform(env.task_id, reward)
+        steps.append((state, action, reward, next_state, done))
+        state = next_state
+        final_score = info["score"]
+    # The discounted return-to-go R̂ of each step (Algorithm 1 lines 16-18
+    # store it in the buffer alongside the transition).
+    transitions: list[Transition] = []
+    running_return = 0.0
+    for step_state, action, reward, next_state, done in reversed(steps):
+        running_return = reward + gamma * running_return
+        transitions.append(
+            Transition(
+                state=step_state,
+                action=action,
+                reward=reward,
+                next_state=next_state,
+                done=done,
+                return_to_go=running_return,
+            )
+        )
+    transitions.reverse()
+    return Trajectory(
+        task_id=env.task_id,
+        transitions=transitions,
+        selected_features=env.selected,
+        final_reward=float(final_score),
+    )

@@ -219,10 +219,8 @@ class PAFeat:
             self.trainer.profiler = profiler
             if tracer is not None:
                 self.trainer.tracer = tracer
-            if engine is not None:
-                engine.profiler = profiler
-                if tracer is not None:
-                    engine.tracer = tracer
+            if engine is not None and tracer is not None:
+                engine.tracer = tracer
             if self.scheduler is not None:
                 scheduler = self.scheduler
 
@@ -364,48 +362,32 @@ class PAFeat:
         return subset
 
     def select_all_unseen(
-        self,
-        suite: TaskSuite | None = None,
-        *,
-        batch_size: int | None = None,
+        self, suite: TaskSuite | None = None
     ) -> dict[str, tuple[int, ...]]:
         """Select subsets for every unseen task in the (fitted) suite.
 
         Runs the unseen tasks' greedy episodes in lockstep through the
         batched inference kernel (:mod:`repro.core.batch`): one Q-forward
         per feature step for the whole batch instead of one per task per
-        step, with bit-exact parity to per-task :meth:`select`.
-        ``batch_size`` caps how many episodes run per lockstep group
-        (default: all at once); ``batch_size=1`` is the sequential
-        fallback path.
+        step, with bit-exact parity to per-task :meth:`select`.  Callers
+        that need bounded batches use
+        :class:`repro.serve.BatchedGreedyEngine` and its ``max_batch_size``.
         """
         agent = self.inference_agent()
         suite = suite if suite is not None else self._suite
         if suite is None:
             raise NotFittedError("no suite available; call fit() first")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        tasks = list(suite.unseen_tasks)
-        if batch_size == 1:
-            return {task.name: self.select(task) for task in tasks}
         from repro.core.batch import batched_greedy_subsets
 
-        if not tasks:
-            return {}
-        chunk = len(tasks) if batch_size is None else batch_size
-        results: dict[str, tuple[int, ...]] = {}
-        for start in range(0, len(tasks), chunk):
-            group = tasks[start : start + chunk]
-            representations = [
-                pearson_representation(task.features, task.labels) for task in group
-            ]
-            subsets = batched_greedy_subsets(
-                agent, representations, self.config.env,
-                feature_corr=self._feature_corr,
-            )
-            for task, subset in zip(group, subsets):
-                results[task.name] = subset
-        return results
+        tasks = list(suite.unseen_tasks)
+        representations = [
+            pearson_representation(task.features, task.labels) for task in tasks
+        ]
+        subsets = batched_greedy_subsets(
+            agent, representations, self.config.env,
+            feature_corr=self._feature_corr,
+        )
+        return {task.name: subset for task, subset in zip(tasks, subsets)}
 
     # ------------------------------------------------------------------
     # Optional on-task refinement (paper Section IV-D)

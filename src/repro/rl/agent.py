@@ -71,16 +71,31 @@ class DuelingDQNAgent:
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
         """Epsilon-greedy action; ``greedy=True`` disables exploration."""
         self.action_count += 1
-        if not greedy:
-            epsilon = self.epsilon_schedule(self.action_count)
-            if self._rng.random() < epsilon:
-                return int(self._rng.integers(self.n_actions))
+        return self.choose_action(state, self._rng, self.action_count, greedy)
+
+    def choose_action(
+        self,
+        state: np.ndarray,
+        rng: np.random.Generator,
+        action_count: int,
+        greedy: bool = False,
+    ) -> int:
+        """The decision behind :meth:`act`, with RNG and counter explicit.
+
+        Side-effect free on the agent: epsilon comes from the schedule at
+        ``action_count``, a uniform draw under epsilon picks the action,
+        otherwise argmax Q with exact ties broken by ``rng``.  Rollout
+        workers pass their episode shard and a local counter, so replica
+        agents stay read-only.
+        """
+        if not greedy and rng.random() < self.epsilon_schedule(action_count):
+            return int(rng.integers(self.n_actions))
         q = self.q_values(state)[0]
         # Break exact ties randomly so early (all-zero-Q) policies explore.
         best = np.flatnonzero(q == q.max())
         if len(best) == 1:
             return int(best[0])
-        return int(self._rng.choice(best))
+        return int(rng.choice(best))
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         """Greedy actions for a batch of states in one forward pass.

@@ -21,15 +21,12 @@ from repro.rollout.engine import (
     resolve_worker_count,
 )
 from repro.rollout.plan import EpisodePlan, EpisodeResult, validate_result
-from repro.rollout.worker import epsilon_greedy_action, run_planned_episode
 
 __all__ = [
     "ROLLOUT_WORKERS_ENV_VAR",
     "EpisodePlan",
     "EpisodeResult",
     "ParallelRolloutEngine",
-    "epsilon_greedy_action",
     "resolve_worker_count",
-    "run_planned_episode",
     "validate_result",
 ]

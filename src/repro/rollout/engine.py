@@ -38,7 +38,6 @@ from repro.core.feat import FEATTrainer
 from repro.errors import RolloutError
 from repro.obs.clock import monotonic
 from repro.obs.log import get_logger
-from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rl.transition import Trajectory
 # Module import (not `from repro.rollout import ...`, which would edge back
@@ -110,12 +109,11 @@ class ParallelRolloutEngine:
         # a restored engine is always a fresh, open one.
         self._closed = False  # repolint: disable=CKPT201
         self._merge_lock = tsan.TrackedLock("rollout.merge")
-        #: Observability hooks, wired by ``PAFeat.fit`` when telemetry is
-        #: on.  ``NULL_TRACER`` / ``None`` keep the hot path at a couple of
-        #: attribute checks per phase — the disabled-cost contract
-        #: ``benchmarks/bench_obs.py`` gates on.
+        #: Observability hook, wired by ``PAFeat.fit`` when telemetry is
+        #: on.  ``NULL_TRACER`` keeps the hot path at one attribute check
+        #: per phase — the disabled-cost contract ``benchmarks/bench_obs.py``
+        #: gates on.
         self.tracer: Tracer = NULL_TRACER
-        self.profiler: PhaseProfiler | None = None
         self.stats: dict[str, float] = {
             "fills": 0,
             "episodes": 0,
@@ -162,12 +160,10 @@ class ParallelRolloutEngine:
         self.stats["plan_seconds"] += plan_s
         self.stats["execute_seconds"] += execute_s
         self.stats["merge_seconds"] += merge_s
-        # The same three readings feed the phase histograms and the stage
-        # spans — one clock cost, every observability surface.
-        if self.profiler is not None:
-            self.profiler.observe("rollout.plan", plan_s)
-            self.profiler.observe("rollout.execute", execute_s)
-            self.profiler.observe("rollout.merge", merge_s)
+        # The same three readings feed the engine stats and the stage
+        # spans — one clock cost, every observability surface.  Phase
+        # fractions are the trainer's: its train.fill phase already spans
+        # this whole call.
         if self.tracer.enabled:
             self.tracer.emit("rollout.plan", plan_s, parent=fill_span)
             self.tracer.emit(
@@ -321,6 +317,8 @@ class ParallelRolloutEngine:
         fill_span: Any = None,
     ) -> dict[int, list[Trajectory]]:
         collected: dict[int, list[Trajectory]] = {}
+        # Steps that consulted the learned policy (random-restart episodes
+        # consult none) advance the agent's action counter.
         policy_steps = 0
         trace = self.tracer.enabled
         with self._merge_lock:
@@ -338,7 +336,7 @@ class ParallelRolloutEngine:
                         parent=fill_span,
                         episode=plan.index,
                         task=plan.task_id,
-                        steps=result.steps,
+                        steps=result.trajectory.length,
                     )
                 trainer.commit_episode(
                     plan.task_id, result.trajectory, plan.start
@@ -348,7 +346,8 @@ class ParallelRolloutEngine:
                 )
                 if merge is not None and result.reward_entries:
                     merge(result.reward_entries)
-                policy_steps += result.policy_steps
+                if not plan.random_policy:
+                    policy_steps += result.trajectory.length
                 collected.setdefault(plan.task_id, []).append(
                     result.trajectory
                 )

@@ -67,9 +67,6 @@ class EpisodePlan:
 class EpisodeResult:
     """One finished episode as returned by a worker (or local execution).
 
-    ``policy_steps`` counts the steps that consulted the learned policy —
-    zero for random-restart episodes — and is what advances the agent's
-    action counter (hence the epsilon schedule) at the merge barrier.
     ``reward_entries`` is the worker-side reward-cache delta drained at the
     episode boundary, merged into the coordinator's cache so no subset is
     scored twice.
@@ -78,8 +75,6 @@ class EpisodeResult:
     index: int
     task_id: int
     trajectory: Trajectory
-    steps: int
-    policy_steps: int
     reward_entries: RewardEntries = field(default=())
     #: Wall seconds the episode took on its executor (0.0 unless the plan
     #: requested tracing).  Observational only — the merge barrier feeds
@@ -115,21 +110,10 @@ def validate_result(
             f"{trajectory.task_id}, planned task {plan.task_id}"
         )
     max_steps = max(0, n_features - plan.start.position)
-    if result.steps != trajectory.length:
+    if trajectory.length > max_steps:
         raise RolloutError(
-            f"episode {plan.index}: steps={result.steps} disagrees with "
-            f"transitions={trajectory.length}"
-        )
-    if result.steps > max_steps:
-        raise RolloutError(
-            f"episode {plan.index}: {result.steps} steps from position "
+            f"episode {plan.index}: {trajectory.length} steps from position "
             f"{plan.start.position} exceeds the {max_steps}-step horizon"
-        )
-    expected_policy = 0 if plan.random_policy else result.steps
-    if result.policy_steps != expected_policy:
-        raise RolloutError(
-            f"episode {plan.index}: policy_steps={result.policy_steps}, "
-            f"expected {expected_policy}"
         )
     for position, transition in enumerate(trajectory.transitions):
         # The env may end an episode early (feature budget), but only the

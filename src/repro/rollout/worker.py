@@ -3,9 +3,10 @@
 Each pool worker is initialised once per Buffer Filling Phase with a
 broadcast payload — replica environments, a read-only copy of the agent's
 network weights, the discount factor and the run seed — and then executes
-chunks of :class:`~repro.rollout.plan.EpisodePlan`.  Episode execution is
-a faithful mirror of ``FEATTrainer.run_episode`` with two substitutions
-that make it plan-determined rather than trainer-state-determined:
+chunks of :class:`~repro.rollout.plan.EpisodePlan`.  Each plan runs the
+trainer's own episode loop, :func:`repro.core.feat.rollout_episode`, with
+an action chooser that makes it plan-determined rather than
+trainer-state-determined:
 
 * randomness comes from the episode's own shard
   (:func:`repro.rl.seeding.rollout_shard` keyed on the plan's global
@@ -13,33 +14,31 @@ that make it plan-determined rather than trainer-state-determined:
 * the epsilon schedule advances from the plan's ``epsilon_base`` locally
   within the episode, never from the shared agent counter.
 
-The replica agent is only ever *read* (``q_values`` is the pure inference
-path certified by PAR601); :func:`epsilon_greedy_action` reproduces
-``DuelingDQNAgent.act`` exactly but with the RNG and action counter passed
-in, so running an episode mutates no agent state.  This is also why the
+The replica agent is only ever *read*: ``DuelingDQNAgent.choose_action``
+is the decision behind ``act`` with the RNG and action counter passed in,
+so running an episode mutates no agent state.  This is also why the
 engine can re-execute any plan locally against the live trainer objects
 and obtain bit-identical results.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.env import FeatureSelectionEnv
+from repro.core.feat import RewardTransform, rollout_episode, uniform_actions
 from repro.errors import WorkerCrashError
 from repro.obs.clock import monotonic
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.seeding import rollout_shard
-from repro.rl.transition import Trajectory, Transition
 from repro.rollout.plan import EpisodePlan, EpisodeResult
 
-__all__ = ["epsilon_greedy_action", "run_planned_episode"]
-
-RewardTransform = Callable[[int, float], float]
+__all__ = ["run_planned_episode"]
 
 
 @dataclass
@@ -77,29 +76,6 @@ def _init_worker(payload: bytes) -> None:
     )
 
 
-def epsilon_greedy_action(
-    agent: DuelingDQNAgent,
-    state: np.ndarray,
-    rng: np.random.Generator,
-    action_count: int,
-) -> int:
-    """``DuelingDQNAgent.act`` with the RNG and schedule position explicit.
-
-    Byte-for-byte the same decision procedure — epsilon from the schedule
-    at ``action_count``, uniform draw under epsilon, otherwise argmax with
-    random tie-breaking — but free of side effects on the agent, so replica
-    agents stay read-only and the draw order is owned by the episode shard.
-    """
-    epsilon = agent.epsilon_schedule(action_count)
-    if rng.random() < epsilon:
-        return int(rng.integers(agent.n_actions))
-    q = agent.q_values(state)[0]
-    best = np.flatnonzero(q == q.max())
-    if len(best) == 1:
-        return int(best[0])
-    return int(rng.choice(best))
-
-
 def run_planned_episode(
     envs: Mapping[int, FeatureSelectionEnv],
     agent: DuelingDQNAgent,
@@ -110,63 +86,33 @@ def run_planned_episode(
 ) -> EpisodeResult:
     """Execute one planned episode; pure in everything but the env replica.
 
-    Mirrors ``FEATTrainer.run_episode`` (including the discounted
-    return-to-go computation) under the plan's own RNG shard and epsilon
-    base.  The environment is reset to the planned start state first, so
-    any prior episode's residue in the replica is irrelevant.
+    Runs ``rollout_episode`` under the plan's own RNG shard and epsilon
+    base.  The environment is reset to the planned start state, so any
+    prior episode's residue in the replica is irrelevant.
     """
-    # Annotated so static call resolution binds env.step/reset_to to
-    # FeatureSelectionEnv (the effect analysis can't see through the
-    # Mapping element type).
-    env: FeatureSelectionEnv = envs[plan.task_id]
+    env = envs[plan.task_id]
     # Tracing wall-times the episode through the obs clock; the reading
     # rides back on the result for the coordinator's trace merge and is
     # the only observable difference a traced plan makes.
     started_at = monotonic() if plan.trace else 0.0
     rng = np.random.default_rng(rollout_shard(seed, plan.index))
-    state = env.reset_to(plan.start)
-    trajectory = Trajectory(task_id=plan.task_id)
-    final_score = env.reward_fn(env.selected) if env.selected else 0.0
-    steps: list[tuple[np.ndarray, int, float, np.ndarray, bool]] = []
-    action_count = plan.epsilon_base
-    while not env.done:
-        if plan.random_policy:
-            action = int(rng.integers(env.N_ACTIONS))
-        else:
-            action_count += 1
-            action = epsilon_greedy_action(agent, state, rng, action_count)
-        next_state, reward, done, info = env.step(action)
-        if reward_transform is not None:
-            reward = reward_transform(plan.task_id, reward)
-        steps.append((state, action, reward, next_state, done))
-        state = next_state
-        final_score = info["score"]
-    running_return = 0.0
-    returns: list[float] = [0.0] * len(steps)
-    for index in range(len(steps) - 1, -1, -1):
-        running_return = steps[index][2] + gamma * running_return
-        returns[index] = running_return
-    for (step_state, action, reward, next_state, done), ret in zip(steps, returns):
-        trajectory.append(
-            Transition(
-                state=step_state,
-                action=action,
-                reward=reward,
-                next_state=next_state,
-                done=done,
-                return_to_go=ret,
-            )
-        )
-    trajectory.selected_features = env.selected
-    trajectory.final_reward = float(final_score)
+    if plan.random_policy:
+        choose = uniform_actions(rng)
+    else:
+        action_counts = itertools.count(plan.epsilon_base + 1)
+
+        def choose(state: np.ndarray) -> int:
+            return agent.choose_action(state, rng, next(action_counts))
+
+    trajectory = rollout_episode(
+        env, plan.start, choose, reward_transform, gamma
+    )
     drain = getattr(env.reward_fn, "drain_fresh_entries", None)
     reward_entries = tuple(drain()) if drain is not None else ()
     return EpisodeResult(
         index=plan.index,
         task_id=plan.task_id,
         trajectory=trajectory,
-        steps=len(steps),
-        policy_steps=0 if plan.random_policy else len(steps),
         reward_entries=reward_entries,
         elapsed_s=(monotonic() - started_at) if plan.trace else 0.0,
     )

@@ -93,6 +93,20 @@ class TestFitIntegration:
         # The trace rides along in the same directory.
         assert (tmp_path / "trace.jsonl").exists()
 
+    def test_parallel_fit_phases_count_fill_time_once(self, tmp_path, tiny_split):
+        # The rollout engine runs inside train.fill; its plan/execute/merge
+        # stages belong in the trace, not in the phase fractions, where
+        # they would count the fill time twice.
+        train, _ = tiny_split
+        PAFeat(fast_config(n_iterations=2)).fit(
+            train, rollout_workers=2, telemetry=tmp_path
+        )
+        events = read_events(tmp_path)
+        iterations = [e for e in events if e["type"] == "iteration"]
+        assert iterations
+        for event in iterations:
+            assert set(event["phases"]) == {"train.fill", "train.update"}
+
     def test_fit_reuses_caller_writer_without_closing(self, tmp_path, tiny_split):
         train, _ = tiny_split
         writer = TelemetryWriter(tmp_path, run_id="mine")

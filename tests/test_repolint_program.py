@@ -221,6 +221,59 @@ def test_par601_missing_entry_point_is_reported():
     assert par and "gone" in par[0].message
 
 
+def test_par601_stale_sync_point_is_reported():
+    findings = analyze_source(
+        MUTATING_PROGRAM,
+        Path("pkg/core/run.py"),
+        module="pkg.core.run",
+        config=par_config(
+            "pkg.core.run.Runner._bump", "pkg.core.run.Runner.gone"
+        ),
+    )
+    par = [f for f in findings if f.code == "PAR601"]
+    # _bump is a live sanction; only the stale name is reported, anchored
+    # to the module it claims to live in.
+    assert len(par) == 1
+    assert "'pkg.core.run.Runner.gone'" in par[0].message
+    assert "sync-points" in par[0].message
+    assert par[0].path.endswith("run.py")
+
+
+def test_concurrency_stale_sanctions_are_reported():
+    source = (
+        "class Server:\n"
+        "    def __init__(self):\n"
+        "        self.state = None\n"
+        "    async def start(self):\n"
+        "        return self.state\n"
+    )
+    config = RepolintConfig(
+        package="pkg",
+        allow_blocking=frozenset(
+            {"pkg.serve.Server.start", "pkg.serve.Server.load"}
+        ),
+        concurrency_sync_points=frozenset(
+            {
+                "pkg.serve.Server.start",  # a function
+                "pkg.serve.Server.state",  # a Class.attr state key
+                "pkg.serve.Gone.stop",  # names nothing
+            }
+        ),
+    )
+    findings = analyze_source(
+        source, Path("pkg/serve.py"), module="pkg.serve", config=config
+    )
+    stale = [
+        f
+        for f in findings
+        if "does not exist" in f.message or "names no function" in f.message
+    ]
+    assert sorted((f.code, f.message.split("'")[1]) for f in stale) == [
+        ("ASYNC901", "pkg.serve.Server.load"),
+        ("ASYNC904", "pkg.serve.Gone.stop"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # PAR602 — module/class state mutation
 # ---------------------------------------------------------------------------

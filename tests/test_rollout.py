@@ -10,16 +10,18 @@ The load-bearing contracts of ARCHITECTURE §10:
 * **Sync points are real** — the reward-cache LRU lock, its drain/merge
   delta protocol, and the ITS visit counter all behave as the PAR601
   certificate claims.
-* **Deprecation** — ``collect_episodes`` warns and delegates.
+* **One episode loop** — a worker episode is the trainer's
+  ``rollout_episode`` under the plan's RNG shard and epsilon base.
 
 Pool-crash behaviour lives in ``test_rollout_faults.py`` (``-m fault``).
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ITSConfig
+from repro.core.feat import rollout_episode, uniform_actions
 from repro.core.its import InterTaskScheduler
 from repro.core.pafeat import PAFeat
 from repro.core.state import EnvState
@@ -41,6 +44,7 @@ from repro.rollout import (
     resolve_worker_count,
     validate_result,
 )
+from repro.rollout.worker import run_planned_episode
 from tests.conftest import fast_config
 
 N_ITERATIONS = 4
@@ -267,8 +271,6 @@ class TestValidateResult:
             index=5,
             task_id=trajectory.task_id,
             trajectory=trajectory,
-            steps=trajectory.length,
-            policy_steps=0,
         )
         return plan, result
 
@@ -292,8 +294,11 @@ class TestValidateResult:
     def test_rejects_truncated_trajectory(self, parallel_reference):
         trajectory = self._trajectory(parallel_reference)
         plan, result = self._pair(trajectory)
-        result.steps -= 1
-        with pytest.raises(RolloutError):
+        # Dropping the terminal transition leaves a non-terminal tail.
+        result.trajectory = replace(
+            trajectory, transitions=trajectory.transitions[:-1]
+        )
+        with pytest.raises(RolloutError, match="terminal-tail"):
             validate_result(plan, result, n_features=trajectory.length)
 
     def test_rejects_poisoned_reward_entries(self, parallel_reference):
@@ -302,6 +307,55 @@ class TestValidateResult:
         result.reward_entries = (((0,), 2.5),)  # score outside [0, 1]
         with pytest.raises(RolloutError):
             validate_result(plan, result, n_features=trajectory.length)
+
+
+# ---------------------------------------------------------------------------
+# Worker episodes are the trainer's episode loop
+# ---------------------------------------------------------------------------
+
+class TestWorkerRunsTheTrainerEpisode:
+    @pytest.mark.parametrize("random_policy", [False, True])
+    def test_planned_episode_equals_act_under_the_shard(
+        self, parallel_reference, random_policy
+    ):
+        """A worker episode is ``rollout_episode`` driven by ``agent.act``
+        with the agent's RNG and action counter swapped for the plan's
+        shard and epsilon base, draw for draw."""
+        model, _ = parallel_reference
+        trainer = model.trainer
+        agent = copy.deepcopy(trainer.agent)
+        # Epsilon 1 on odd action counts, 0 on even ones: both branches
+        # run, and a counter off by one flips every decision.
+        agent.epsilon_schedule = lambda count: float(count % 2)
+        task_id = trainer.registry.task_ids()[0]
+        plan = EpisodePlan(
+            index=3,
+            task_id=task_id,
+            start=EnvState((), 0),
+            random_policy=random_policy,
+            epsilon_base=6,
+        )
+        gamma = trainer.config.agent.gamma
+        envs = copy.deepcopy(trainer.envs)
+        result = run_planned_episode(envs, agent, gamma, plan, seed=11)
+
+        serial = copy.deepcopy(agent)
+        serial.action_count = plan.epsilon_base
+        serial._rng = np.random.default_rng(rollout_shard(11, plan.index))
+        choose = uniform_actions(serial._rng) if random_policy else serial.act
+        expected = rollout_episode(
+            envs[task_id], plan.start, choose, None, gamma
+        )
+
+        def steps(trajectory):
+            return [
+                (t.action, t.reward, t.return_to_go, t.done)
+                for t in trajectory.transitions
+            ]
+
+        assert steps(result.trajectory) == steps(expected)
+        assert result.trajectory.selected_features == expected.selected_features
+        assert agent.action_count == trainer.agent.action_count  # read-only
 
 
 # ---------------------------------------------------------------------------
@@ -390,35 +444,6 @@ class TestEngineLifecycle:
         engine = ParallelRolloutEngine(1, seed=0)
         with pytest.raises(ValueError, match="n_episodes"):
             engine.fill(model.trainer, 0)
-
-
-# ---------------------------------------------------------------------------
-# Deprecation
-# ---------------------------------------------------------------------------
-
-class TestCollectEpisodesDeprecation:
-    def test_alias_warns_and_delegates(self, parallel_reference):
-        model, _ = parallel_reference
-        trainer = model.trainer
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            collected = trainer.collect_episodes(1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        # Exactly one warning per call site: the alias warns, the
-        # buffer_filling it delegates to must not warn again.
-        assert len(deprecations) == 1
-        assert "buffer_filling" in str(deprecations[0].message)
-        # stacklevel=2 attributes the warning to the caller, not feat.py.
-        assert deprecations[0].filename == __file__
-        assert sum(len(t) for t in collected.values()) == 1
-
-    def test_buffer_filling_does_not_warn(self, parallel_reference):
-        model, _ = parallel_reference
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            model.trainer.buffer_filling(1)
 
 
 # ---------------------------------------------------------------------------

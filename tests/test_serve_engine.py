@@ -99,10 +99,6 @@ class TestBitExactParity:
             for task in train.unseen_tasks
         }
         assert fitted_tiny_model.select_all_unseen() == expected
-        # The sequential fallback path must agree too.
-        assert fitted_tiny_model.select_all_unseen(batch_size=1) == expected
-        # Chunked lockstep groups must not change answers.
-        assert fitted_tiny_model.select_all_unseen(batch_size=2) == expected
 
 
 class _DeselectEverythingAgent:
@@ -173,6 +169,20 @@ class TestEngineWrapper:
             large.select_representations(representations)
         )
 
+    def test_engine_chunking_matches_select_loop(
+        self, fitted_tiny_model, tiny_split
+    ):
+        """Lockstep groups of 2 over all 5 tasks (2 + 2 + 1) agree with
+        per-task selection on a real fitted model."""
+        train, _ = tiny_split
+        tasks = train.all_tasks()
+        engine = BatchedGreedyEngine.from_model(
+            fitted_tiny_model, max_batch_size=2
+        )
+        assert engine.select_tasks(tasks) == {
+            task.name: fitted_tiny_model.select(task) for task in tasks
+        }
+
     def test_engine_from_model_selects_tasks(self, fitted_tiny_model, tiny_split):
         train, _ = tiny_split
         engine = BatchedGreedyEngine.from_model(fitted_tiny_model)
@@ -187,10 +197,6 @@ class TestSelectAllUnseen:
     def test_uses_given_suite(self, fitted_tiny_model, tiny_suite):
         result = fitted_tiny_model.select_all_unseen(tiny_suite)
         assert set(result) == {task.name for task in tiny_suite.unseen_tasks}
-
-    def test_rejects_bad_batch_size(self, fitted_tiny_model):
-        with pytest.raises(ValueError, match="batch_size"):
-            fitted_tiny_model.select_all_unseen(batch_size=0)
 
     def test_requires_a_suite(self):
         from repro.core.pafeat import PAFeat

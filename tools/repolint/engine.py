@@ -314,6 +314,19 @@ class ProgramRule(Rule):
             hint=self.hint if hint is None else hint,
         )
 
+    def config_finding(
+        self, program: ProgramContext, qualname: str, message: str
+    ) -> Finding:
+        """A finding about a configured qualname, anchored to the nearest
+        module on its dotted path that exists (else the package root), so a
+        stale name still surfaces."""
+        module = qualname
+        while module and program.file_for(module) is None:
+            module = module.rpartition(".")[0]
+        return self.program_finding(
+            program, module or program.config.package, 1, message
+        )
+
 
 def module_for_path(path: Path, package: str = "repro") -> str | None:
     """Infer the dotted module for a file living under a ``package`` tree."""

@@ -9,7 +9,8 @@ are the ones the chaos suite can only catch probabilistically:
   or socket I/O, ``Future.result()``) is reachable from an event-loop
   coroutine.  One such call stalls *every* in-flight request.  Startup
   paths may be sanctioned via ``[tool.repolint.concurrency]
-  allow-blocking`` — the whole call subtree under each entry is exempt.
+  allow-blocking`` — the whole call subtree under each entry is exempt;
+  an entry naming no function is reported as stale.
 * **ASYNC902** — shared mutable attribute written from one execution
   context (loop / thread / executor) and touched from another with no
   common lock (classic lockset intersection).  ``Class.attr`` keys in
@@ -21,7 +22,8 @@ are the ones the chaos suite can only catch probabilistically:
   coroutine reads ``self.X``, suspends, then writes ``self.X`` while
   another method of the same class also writes it — the value checked is
   not the value acted on.  Function qualnames in ``sync-points`` document
-  interleavings that are safe by design.
+  interleavings that are safe by design; a sync point naming neither a
+  function nor a ``Class.attr`` key is reported as stale.
 * **ASYNC905** — a task or thread is spawned and its handle dropped:
   nothing can await/join it, exceptions vanish, shutdown leaks it.
 """
@@ -60,6 +62,15 @@ class BlockingInLoopRule(ProgramRule):
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         concurrency: ConcurrencyIndex = program.concurrency
         index = program.call_graph.index
+        stale = program.config.allow_blocking - index.functions.keys()
+        for name in sorted(stale):
+            yield self.config_finding(
+                program,
+                name,
+                f"allow-blocking entry '{name}' does not exist in the "
+                "program; remove it from [tool.repolint.concurrency] "
+                "allow-blocking",
+            )
         for qualname in sorted(concurrency.loop_root):
             info = concurrency.functions[qualname]
             if not info.blocking:
@@ -189,6 +200,20 @@ class ToctouAcrossAwaitRule(ProgramRule):
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         concurrency: ConcurrencyIndex = program.concurrency
         index = program.call_graph.index
+        for name in sorted(program.config.concurrency_sync_points):
+            # A sync point names a function (ASYNC904) or a ``Class.attr``
+            # state key (ASYNC902); one naming neither is stale.
+            if name in index.functions:
+                continue
+            if name.rpartition(".")[0] in index.classes:
+                continue
+            yield self.config_finding(
+                program,
+                name,
+                f"sync point '{name}' names no function or class attribute "
+                "in the program; remove it from [tool.repolint.concurrency] "
+                "sync-points",
+            )
         writers = self._writers_by_state(concurrency)
         for qualname in sorted(concurrency.functions):
             info = concurrency.functions[qualname]

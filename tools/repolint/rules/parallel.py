@@ -8,7 +8,9 @@ serialize.  PAR601 walks the call graph from each entry point, tracking
 whether execution still operates on shared objects: calling a method on an
 object the caller constructed itself drops to non-shared context, where
 mutating ``self`` is harmless.  Mutations of parameters, globals, class
-attributes or captured closures are hazards in any context.
+attributes or captured closures are hazards in any context.  An entry point
+or sync point that names no function in the program is reported too, so a
+sanction cannot outlive the code it sanctioned.
 
 PAR602 is reachability-independent: module-level state is process-global,
 so writing it from *any* function breaks worker isolation (and, today,
@@ -45,10 +47,17 @@ class RolloutSharedStateRule(ProgramRule):
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         config = program.config
+        index = program.call_graph.index
+        for name in sorted(config.sync_points - index.functions.keys()):
+            yield self.config_finding(
+                program,
+                name,
+                f"sync point '{name}' does not exist in the program; remove "
+                "it from [tool.repolint.parallel.sync-points]",
+            )
         if not config.entry_points:
             return
         effects = program.effects
-        index = program.call_graph.index
         edges: dict[str, list[tuple[str, bool]]] = {}
         for edge in program.call_graph.edges:
             edges.setdefault(edge.caller, []).append(
@@ -60,15 +69,9 @@ class RolloutSharedStateRule(ProgramRule):
         flagged: set[str] = set()
         for entry in config.entry_points:
             if entry not in index.functions:
-                # Anchor the config error to the entry's module when it
-                # exists, else to the package root so it still surfaces.
-                module = entry
-                while module and program.file_for(module) is None:
-                    module = module.rpartition(".")[0]
-                yield self.program_finding(
+                yield self.config_finding(
                     program,
-                    module or config.package,
-                    1,
+                    entry,
                     f"rollout entry point '{entry}' does not exist in the "
                     "program; update [tool.repolint.parallel.entry-points]",
                 )
